@@ -104,6 +104,21 @@ python3 scripts/check_trace.py "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" \
   --require backend.execute
 echo "check.sh: observability trace/metrics smoke passed."
 
+# Shot-branching smoke: grover.qut's replay is a dynamic circuit whose only
+# random measurements are two 3-qubit registers, so the branch driver may
+# evolve at most 8 x 8 = 64 states for 1024 shots (one trajectory per shot
+# would be 1024). The count depends on the seed alone, never on timing.
+for backend in statevector mps; do
+  TRAJ=$("$BUILD_DIR"/tools/qutes run examples/programs/grover.qut \
+    --replay 1024 --backend "$backend" --metrics 2>&1 >/dev/null \
+    | awk '$2 == "executor.trajectories" { print $3 }')
+  if [[ -z "$TRAJ" || "$TRAJ" -gt 64 ]]; then
+    echo "check.sh: grover --replay 1024 on $backend evolved ${TRAJ:-no} states (ceiling 64)" >&2
+    exit 1
+  fi
+done
+echo "check.sh: shot-branching smoke passed (grover replay <= 64 states)."
+
 # qutesd daemon smoke: boot the daemon on a private socket, issue a
 # cold/warm request pair through the CLI client (the warm one must report a
 # cache hit), then SIGTERM and require a graceful exit that unlinks the

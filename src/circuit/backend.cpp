@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "qutes/circuit/fusion.hpp"
@@ -12,11 +13,14 @@
 #include "qutes/common/error.hpp"
 #include "qutes/obs/obs.hpp"
 #include "qutes/sim/density_matrix.hpp"
+#include "shot_branching.hpp"
 
 namespace qutes::circ {
 
 namespace {
 
+using branching::BranchTally;
+using branching::ShotBrancher;
 using sim::gates::H;
 using sim::gates::P;
 using sim::gates::RX;
@@ -83,11 +87,10 @@ bool has_wide_unitary(const QuantumCircuit& circ) {
   return false;
 }
 
-/// Apply one instruction to an MPS (measure writes into `clbits`). The MPS
-/// analog of apply_instruction(StateVector&, ...); expects gates of at most
-/// two qubits (wider circuits are lowered before reaching this point).
-void apply_instruction_mps(sim::Mps& mps, const Instruction& in,
-                           std::uint64_t& clbits, Rng& rng) {
+/// Apply one gate, barrier or global phase to an MPS; expects gates of at
+/// most two qubits (wider circuits are lowered before reaching this point).
+/// Measurement and reset belong to the shot-branching driver.
+void apply_gate_mps(sim::Mps& mps, const Instruction& in) {
   const auto controlled = [&](const sim::Matrix2& u) {
     if (in.qubits.size() != 2) {
       throw CircuitError(std::string("mps backend: gate ") + gate_name(in.type) +
@@ -126,15 +129,8 @@ void apply_instruction_mps(sim::Mps& mps, const Instruction& in,
     case GateType::CSWAP:
       throw CircuitError(
           "mps backend: CSWAP was not lowered to the {u, cx} basis");
-    case GateType::Measure:
-      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-        const int bit = mps.measure(in.qubits[i], rng);
-        clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
-      }
-      break;
-    case GateType::Reset:
-      mps.reset_qubit(in.qubits[0], rng);
-      break;
+    case GateType::Measure: case GateType::Reset:
+      throw CircuitError("mps backend: measure/reset reached the gate dispatcher");
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
@@ -160,13 +156,11 @@ bool is_clifford_gate(GateType type) noexcept {
   }
 }
 
-/// Apply one instruction to a stabilizer tableau (measure writes into
-/// `clbits`, one byte per classical bit — the tableau runs at widths far
-/// past what a packed uint64 register could hold). The tableau analog of
-/// apply_instruction(StateVector&, ...); non-Clifford gates cannot reach it
-/// (the executor rejects them by name first) but throw defensively anyway.
-void apply_instruction_stab(sim::Stabilizer& tab, const Instruction& in,
-                            std::vector<std::uint8_t>& clbits, Rng& rng) {
+/// Apply one Clifford gate, barrier or global phase to a stabilizer tableau.
+/// Non-Clifford gates cannot reach it (the executor rejects them by name
+/// first) but throw defensively anyway, as do measure/reset, which belong to
+/// the shot-branching driver.
+void apply_gate_stab(sim::Stabilizer& tab, const Instruction& in) {
   switch (in.type) {
     case GateType::H: tab.apply_h(in.qubits[0]); break;
     case GateType::S: tab.apply_s(in.qubits[0]); break;
@@ -177,24 +171,15 @@ void apply_instruction_stab(sim::Stabilizer& tab, const Instruction& in,
     case GateType::CX: tab.apply_cx(in.qubits[0], in.qubits[1]); break;
     case GateType::CZ: tab.apply_cz(in.qubits[0], in.qubits[1]); break;
     case GateType::SWAP: tab.apply_swap(in.qubits[0], in.qubits[1]); break;
-    case GateType::Measure:
-      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-        clbits[in.clbits[i]] =
-            static_cast<std::uint8_t>(tab.measure(in.qubits[i], rng));
-      }
-      break;
-    case GateType::Reset:
-      tab.reset_qubit(in.qubits[0], rng);
-      break;
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
       break;  // a tableau is phase-free; counts and Paulis are unaffected
     default:
-      throw CircuitError(std::string("stabilizer backend: non-Clifford gate ") +
+      throw CircuitError(std::string("stabilizer backend: gate ") +
                          gate_name(in.type) +
-                         " reached the dispatcher (executor capability check "
-                         "missed it)");
+                         " reached the Clifford dispatcher (executor "
+                         "capability check missed it)");
   }
 }
 
@@ -212,10 +197,10 @@ std::string key_from_basis(std::uint64_t basis,
 
 // ---- statevector ------------------------------------------------------------
 
-/// Dense 2^n-amplitude simulation: the original executor engine, verbatim.
-/// Static noiseless circuits evolve once and sample from the final
-/// distribution; everything else runs one trajectory per shot with
-/// Monte-Carlo noise, OpenMP-parallel over counter-derived RNG streams.
+/// Dense 2^n-amplitude simulation. Static noiseless circuits evolve once and
+/// sample from the final distribution; dynamic ones run through the
+/// shot-branching driver, and noisy ones as one Monte-Carlo trajectory per
+/// shot through the same driver.
 class StatevectorBackend final : public Backend {
 public:
   std::string name() const override { return "statevector"; }
@@ -236,7 +221,6 @@ public:
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/!fast);
     record_fusion_stats(result, plan);
-    const auto& instrs = circ.instructions();
     peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
 
     if (fast) {
@@ -250,97 +234,9 @@ public:
       return;
     }
 
-    // Dynamic/noisy path: one trajectory per shot.
     obs::Span shots_span("sv.shots");
-
-    const auto shots = static_cast<std::int64_t>(config.shots);
-    if (config.record_memory) result.memory.assign(config.shots, {});
-
-    // Each shot owns a counter-derived RNG stream, so the loop can run on any
-    // number of threads and still produce bit-identical counts: per-shot
-    // outcomes depend only on (seed, shot), memory slots are indexed by shot,
-    // and merging per-thread histograms is an order-independent sum.
-    const sim::NoiseModel& noise = config.backend.noise;
-    const auto run_shot = [&](std::size_t s, std::size_t& applied) {
-      obs::Span span("sv.shot");
-      Rng rng(config.seed, s);
-      sim::StateVector sv(circ.num_qubits());
-      std::uint64_t clbits = 0;
-      for (const FusedOp& op : plan.ops) {
-        if (op.fused) {
-          sv.apply_kq(op.matrix, op.qubits);
-          ++applied;
-          continue;
-        }
-        const Instruction& in = instrs[op.instruction];
-        if (in.condition &&
-            static_cast<int>(test_bit(clbits, in.condition->clbit)) !=
-                in.condition->value) {
-          continue;
-        }
-        if (in.type == GateType::Measure && noise.readout_error > 0.0) {
-          for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-            int bit = sv.measure(in.qubits[i], rng);
-            bit = sim::apply_readout_error(bit, noise.readout_error, rng);
-            clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
-          }
-        } else {
-          apply_instruction(sv, in, clbits, rng);
-        }
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-          if (in.qubits.size() == 1 && noise.depolarizing_1q > 0.0) {
-            sim::apply_depolarizing(sv, in.qubits[0], noise.depolarizing_1q, rng);
-          } else if (in.qubits.size() >= 2 && noise.depolarizing_2q > 0.0) {
-            for (std::size_t q : in.qubits) {
-              sim::apply_depolarizing(sv, q, noise.depolarizing_2q, rng);
-            }
-          }
-          if (noise.amplitude_damping > 0.0) {
-            for (std::size_t q : in.qubits) {
-              sim::apply_amplitude_damping(sv, q, noise.amplitude_damping, rng);
-            }
-          }
-        }
-      }
-      return to_bitstring(clbits, circ.num_clbits());
-    };
-
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      std::size_t local_applied = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          const std::string key =
-              run_shot(static_cast<std::size_t>(s), local_applied);
-          ++local[key];
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          // OpenMP loops cannot propagate exceptions; capture the first one
-          // and rethrow after the region.
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_executor_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_executor_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        gates_metric.add(local_applied);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-
-    result.trajectories = config.shots;
-    result.fast_path = false;
+    const Branching adapter{circ.num_qubits(), config.backend.noise};
+    gates_metric.add(ShotBrancher(adapter, circ, plan, config).run(result).gates);
   }
 
   void execute_batch(const QuantumCircuit& circ, const RunConfig& config,
@@ -377,6 +273,55 @@ public:
   }
 
 private:
+  /// The shot-branching driver's view of a statevector. The only backend
+  /// with trajectory noise, which fires after each unitary gate and on each
+  /// measured bit of the (one-shot) branch.
+  struct Branching {
+    using State = sim::StateVector;
+    static constexpr const char* kTrunkSpan = "sv.trunk";
+    static constexpr const char* kBranchSpan = "sv.branch";
+    std::size_t num_qubits;
+    const sim::NoiseModel& noise;
+
+    State fresh() const { return State(num_qubits); }
+    void apply(State& sv, const FusedOp& op) const { sv.apply_kq(op.matrix, op.qubits); }
+    void apply(State& sv, const Instruction& in) const {
+      std::uint64_t unused_clbits = 0;
+      Rng unused_rng(0);  // measure/reset never reach apply_instruction here
+      apply_instruction(sv, in, unused_clbits, unused_rng);
+    }
+    double probability_one(State& sv, std::size_t q) const { return sv.probability_one(q); }
+    int draw(double p1, Rng& rng) const { return rng.uniform() < p1 ? 1 : 0; }
+    void collapse(State& sv, std::size_t q, int outcome, double p) const {
+      sv.collapse(q, outcome, p);
+    }
+    void flip(State& sv, std::size_t q) const { sv.apply_1q(X(), q); }
+    std::size_t bytes(const State& sv) const { return sv.dim() * sizeof(sim::cplx); }
+    void after_gate(State& sv, const Instruction& in, Rng& rng) const {
+      if (in.qubits.size() == 1 && noise.depolarizing_1q > 0.0) {
+        sim::apply_depolarizing(sv, in.qubits[0], noise.depolarizing_1q, rng);
+      } else if (in.qubits.size() >= 2 && noise.depolarizing_2q > 0.0) {
+        for (std::size_t q : in.qubits) {
+          sim::apply_depolarizing(sv, q, noise.depolarizing_2q, rng);
+        }
+      }
+      if (noise.amplitude_damping > 0.0) {
+        for (std::size_t q : in.qubits) {
+          sim::apply_amplitude_damping(sv, q, noise.amplitude_damping, rng);
+        }
+      }
+    }
+    int readout(int bit, Rng& rng) const {
+      return noise.readout_error > 0.0
+                 ? sim::apply_readout_error(bit, noise.readout_error, rng)
+                 : bit;
+    }
+    void finish(const State&) const {}
+    bool small() const {
+      return (std::uint64_t{1} << num_qubits) < sim::StateVector::kParallelThreshold;
+    }
+  };
+
   /// Evolve the unitary prefix of a static circuit once, skipping
   /// measurements (a static circuit never reuses a measured qubit, so a
   /// measure only records the clbit -> qubit wiring into `wire`), and return
@@ -650,9 +595,7 @@ public:
     if (Executor::is_static(circ)) {
       // Evolve one MPS, then sample every shot from a shared read-only
       // Sampler — per-shot cost is O(n chi^3), independent of shot history.
-      Rng rng(config.seed);
       sim::Mps mps(circ.num_qubits(), mps_options);
-      std::uint64_t scratch = 0;
       std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
       {
         obs::Span span("mps.evolve");
@@ -670,7 +613,7 @@ public:
             }
             continue;
           }
-          apply_instruction_mps(mps, in, scratch, rng);
+          apply_gate_mps(mps, in);
           if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
             ++applied;
           }
@@ -718,82 +661,62 @@ public:
       return;
     }
 
-    // Dynamic path: one MPS trajectory per shot, same counter-derived RNG
-    // discipline as the statevector backend.
     obs::Span shots_span("mps.shots");
-    const auto run_shot = [&](std::size_t s, double& trunc, std::size_t& bond,
-                              std::size_t& applied, std::size_t& truncations) {
-      obs::Span span("mps.shot");
-      Rng rng(config.seed, s);
-      sim::Mps mps(circ.num_qubits(), mps_options);
-      std::uint64_t clbits = 0;
-      for (const FusedOp& op : plan.ops) {
-        if (op.fused) {
-          mps.apply_kq(op.matrix, op.qubits);
-          ++applied;
-          continue;
-        }
-        const Instruction& in = instrs[op.instruction];
-        if (in.condition &&
-            static_cast<int>(test_bit(clbits, in.condition->clbit)) !=
-                in.condition->value) {
-          continue;
-        }
-        apply_instruction_mps(mps, in, clbits, rng);
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-        }
-      }
-      trunc = std::max(trunc, mps.truncation_error());
-      bond = std::max(bond, mps.max_bond_dim_reached());
-      truncations += mps.svd_truncations();
-      return to_bitstring(clbits, circ.num_clbits());
-    };
-
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      double local_trunc = 0.0;
-      std::size_t local_bond = 0;
-      std::size_t local_applied = 0;
-      std::size_t local_truncations = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          const std::string key =
-              run_shot(static_cast<std::size_t>(s), local_trunc, local_bond,
-                       local_applied, local_truncations);
-          ++local[key];
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_mps_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_mps_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        result.truncation_error = std::max(result.truncation_error, local_trunc);
-        result.max_bond_dim_reached =
-            std::max(result.max_bond_dim_reached, local_bond);
-        gates_metric.add(local_applied);
-        truncations_metric.add(local_truncations);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-
+    const Branching adapter{circ.num_qubits(), mps_options};
+    gates_metric.add(ShotBrancher(adapter, circ, plan, config).run(result).gates);
+    truncations_metric.add(adapter.truncations);
+    result.truncation_error = adapter.truncation_error;
+    result.max_bond_dim_reached = adapter.max_bond;
     bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
     trunc_gauge.set_max(result.truncation_error);
-    result.trajectories = config.shots;
-    result.fast_path = false;
   }
+
+private:
+  /// The shot-branching driver's view of an MPS. Leaf diagnostics merge
+  /// across the threads that finish branches.
+  struct Branching {
+    using State = sim::Mps;
+    static constexpr const char* kTrunkSpan = "mps.trunk";
+    static constexpr const char* kBranchSpan = "mps.branch";
+    Branching(std::size_t n, sim::MpsOptions o) : num_qubits(n), options(o) {}
+
+    std::size_t num_qubits;
+    sim::MpsOptions options;
+    mutable std::atomic<std::size_t> truncations{0};
+    mutable std::mutex mutex;  // guards the two maxima below
+    mutable double truncation_error = 0.0;
+    mutable std::size_t max_bond = 0;
+
+    State fresh() const { return State(num_qubits, options); }
+    // A fork copies its parent's SVD count, so count per applied gate.
+    void apply(State& mps, const FusedOp& op) const {
+      const std::size_t before = mps.svd_truncations();
+      mps.apply_kq(op.matrix, op.qubits);
+      if (mps.svd_truncations() != before) truncations += mps.svd_truncations() - before;
+    }
+    void apply(State& mps, const Instruction& in) const {
+      const std::size_t before = mps.svd_truncations();
+      apply_gate_mps(mps, in);
+      if (mps.svd_truncations() != before) truncations += mps.svd_truncations() - before;
+    }
+    double probability_one(State& mps, std::size_t q) const { return mps.probability_one(q); }
+    int draw(double p1, Rng& rng) const { return rng.uniform() < p1 ? 1 : 0; }
+    void collapse(State& mps, std::size_t q, int outcome, double p) const {
+      mps.collapse(q, outcome, p);
+    }
+    void flip(State& mps, std::size_t q) const { mps.apply_1q(X(), q); }
+    std::size_t bytes(const State& mps) const { return mps.memory_bytes(); }
+    void after_gate(State&, const Instruction&, Rng&) const {}
+    int readout(int bit, Rng&) const { return bit; }
+    void finish(const State& mps) const {
+      const std::lock_guard lock(mutex);
+      truncation_error = std::max(truncation_error, mps.truncation_error());
+      max_bond = std::max(max_bond, mps.max_bond_dim_reached());
+    }
+    // MPS kernels thread only at large bond dimensions; like the per-shot
+    // path before it, the driver parallelises across branches instead.
+    bool small() const { return true; }
+  };
 };
 
 // ---- stabilizer -------------------------------------------------------------
@@ -837,6 +760,7 @@ public:
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     record_fusion_stats(result, plan);
+
     const auto& instrs = circ.instructions();
 
     const auto shots = static_cast<std::int64_t>(config.shots);
@@ -850,19 +774,6 @@ public:
       return key;
     };
 
-    const auto run_instruction = [&](sim::Stabilizer& tab, const Instruction& in,
-                                     std::vector<std::uint8_t>& clbits,
-                                     Rng& rng, std::size_t& applied) {
-      if (in.condition && static_cast<int>(clbits[in.condition->clbit]) !=
-                              in.condition->value) {
-        return;
-      }
-      apply_instruction_stab(tab, in, clbits, rng);
-      if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-        ++applied;
-      }
-    };
-
     if (Executor::is_static(circ)) {
       // Evolve the unitary prefix once (a static circuit's measurements only
       // record wiring), then each shot copies the evolved tableau and
@@ -872,15 +783,9 @@ public:
       std::vector<std::pair<std::size_t, std::size_t>> wire;  // (qubit, clbit)
       {
         obs::Span span("stab.evolve");
-        Rng rng(config.seed);
-        std::vector<std::uint8_t> scratch(circ.num_clbits(), 0);
         std::size_t applied = 0;
         for (const FusedOp& op : plan.ops) {
-          if (op.fused) {
-            throw CircuitError(
-                "stabilizer backend received a fused dense block (fusion "
-                "should be capability-clamped to width 1)");
-          }
+          if (op.fused) throw CircuitError(kFusedBlockOnTableau);
           const Instruction& in = instrs[op.instruction];
           if (in.type == GateType::Measure) {
             for (std::size_t i = 0; i < in.qubits.size(); ++i) {
@@ -888,7 +793,10 @@ public:
             }
             continue;
           }
-          run_instruction(evolved, in, scratch, rng, applied);
+          apply_gate_stab(evolved, in);
+          if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
+            ++applied;
+          }
         }
         gates_metric.add(applied);
       }
@@ -942,67 +850,46 @@ public:
       return;
     }
 
-    // Dynamic path (mid-circuit measurement feeding gates, reset, c_if): one
-    // tableau trajectory per shot, same counter-derived RNG discipline as
-    // the statevector backend.
+    // Dynamic path (mid-circuit measurement feeding gates, reset, c_if).
     obs::Span shots_span("stab.shots");
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::size_t total_measurements = 0, total_random = 0;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      std::size_t local_applied = 0;
-      std::size_t local_measurements = 0, local_random = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          obs::Span span("stab.shot");
-          Rng rng(config.seed, static_cast<std::uint64_t>(s));
-          sim::Stabilizer tab(circ.num_qubits());
-          std::vector<std::uint8_t> clbits(circ.num_clbits(), 0);
-          for (const FusedOp& op : plan.ops) {
-            if (op.fused) {
-              throw CircuitError(
-                  "stabilizer backend received a fused dense block (fusion "
-                  "should be capability-clamped to width 1)");
-            }
-            run_instruction(tab, instrs[op.instruction], clbits, rng,
-                            local_applied);
-          }
-          const std::string key = key_of(clbits);
-          ++local[key];
-          local_measurements += tab.measurements();
-          local_random += tab.random_outcomes();
-          if (s == 0) {
-            peak_bytes.set_max(static_cast<double>(tab.memory_bytes()));
-          }
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_stab_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_stab_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        gates_metric.add(local_applied);
-        total_measurements += local_measurements;
-        total_random += local_random;
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    measurements_metric.add(total_measurements);
-    random_metric.add(total_random);
-
-    result.trajectories = config.shots;
-    result.fast_path = false;
+    const Branching adapter{circ.num_qubits()};
+    const BranchTally tally = ShotBrancher(adapter, circ, plan, config).run(result);
+    gates_metric.add(tally.gates);
+    measurements_metric.add(tally.measurements);
+    random_metric.add(tally.random);
+    peak_bytes.set_max(static_cast<double>(adapter.fresh().memory_bytes()));
   }
+
+private:
+  static constexpr const char* kFusedBlockOnTableau =
+      "stabilizer backend received a fused dense block (fusion should be "
+      "capability-clamped to width 1)";
+
+  /// The shot-branching driver's view of a tableau: outcomes are random
+  /// (p1 = 1/2, one below(2) draw per shot) or determined (no draw).
+  struct Branching {
+    using State = sim::Stabilizer;
+    static constexpr const char* kTrunkSpan = "stab.trunk";
+    static constexpr const char* kBranchSpan = "stab.branch";
+    std::size_t num_qubits;
+
+    State fresh() const { return State(num_qubits); }
+    void apply(State&, const FusedOp&) const { throw CircuitError(kFusedBlockOnTableau); }
+    void apply(State& tab, const Instruction& in) const { apply_gate_stab(tab, in); }
+    double probability_one(State& tab, std::size_t q) const { return tab.probability_one(q); }
+    int draw(double p1, Rng& rng) const {
+      return p1 == 0.5 ? static_cast<int>(rng.below(2)) : static_cast<int>(p1);
+    }
+    void collapse(State& tab, std::size_t q, int outcome, double) const {
+      tab.collapse(q, outcome);
+    }
+    void flip(State& tab, std::size_t q) const { tab.apply_x(q); }
+    std::size_t bytes(const State& tab) const { return tab.memory_bytes(); }
+    void after_gate(State&, const Instruction&, Rng&) const {}
+    int readout(int bit, Rng&) const { return bit; }
+    void finish(const State&) const {}
+    bool small() const { return true; }  // tableau updates never thread
+  };
 };
 
 // ---- registry ---------------------------------------------------------------
@@ -1070,6 +957,10 @@ std::unique_ptr<Backend> make_backend(const std::string& name) {
   return it->second();
 }
 
+std::size_t set_branch_budget_bytes(std::size_t bytes) noexcept {
+  return branching::g_branch_budget.exchange(bytes, std::memory_order_relaxed);
+}
+
 sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
   QuantumCircuit lowered;
   const QuantumCircuit* target = &circuit;
@@ -1082,15 +973,13 @@ sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
   const QuantumCircuit& circ = *target;
 
   sim::Mps mps(circ.num_qubits(), options);
-  Rng rng(0);
-  std::uint64_t scratch = 0;
   for (const Instruction& in : circ.instructions()) {
     if (in.condition || in.type == GateType::Measure || in.type == GateType::Reset) {
       throw CircuitError(
           "evolve_mps: circuit has measurement/reset/conditions; use the "
           "executor's mps backend instead");
     }
-    apply_instruction_mps(mps, in, scratch, rng);
+    apply_gate_mps(mps, in);
   }
   if (circ.global_phase() != 0.0) mps.apply_global_phase(circ.global_phase());
   return mps;
@@ -1098,8 +987,6 @@ sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
 
 sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
   sim::Stabilizer tab(circuit.num_qubits());
-  Rng rng(0);
-  std::vector<std::uint8_t> scratch;
   for (const Instruction& in : circuit.instructions()) {
     if (in.condition || in.type == GateType::Measure ||
         in.type == GateType::Reset) {
@@ -1112,7 +999,7 @@ sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
       throw CircuitError("evolve_stabilizer: non-Clifford gate " +
                          std::string(gate_name(in.type)));
     }
-    apply_instruction_stab(tab, in, scratch, rng);
+    apply_gate_stab(tab, in);
   }
   // Global phase is unobservable on a tableau; nothing to record.
   return tab;

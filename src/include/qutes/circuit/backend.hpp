@@ -6,7 +6,7 @@
 // between `AerSimulator` and its `method=` strings, which is where the paper
 // sends every circuit. Four methods ship built in:
 //
-//   "statevector"  dense 2^n amplitudes; exact, fast path + per-shot
+//   "statevector"  dense 2^n amplitudes; exact, fast path + shot-branching
 //                  trajectories, trajectory (Monte-Carlo) noise; ~30 qubits.
 //   "density"      exact mixed states, 4^n entries; closed-form noise
 //                  channels instead of trajectory averaging; ~13 qubits.
@@ -112,6 +112,13 @@ void register_backend(const std::string& name, BackendFactory factory);
 [[nodiscard]] std::unique_ptr<Backend> make_backend(const std::string& name);
 
 // ---- helpers ---------------------------------------------------------------
+
+/// Test hook: set the byte budget for the state copies that live shot
+/// branches may hold (default 256 MiB); returns the previous budget. A fork
+/// whose copy does not fit replays its shots one by one instead, with
+/// identical outcomes, so results do not depend on this value — 0 lets
+/// tests drive that fallback at small widths.
+std::size_t set_branch_budget_bytes(std::size_t bytes) noexcept;
 
 /// Evolve `circuit` (unitaries + barriers + global phase only — throws
 /// CircuitError on measure/reset/conditions) on a fresh MPS. Gates wider

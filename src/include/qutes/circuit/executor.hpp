@@ -55,7 +55,10 @@ struct ExecutionResult {
   sim::Counts counts;
   /// Per-shot outcomes when RunConfig::record_memory is set (else empty).
   std::vector<std::string> memory;
-  /// Number of trajectories actually simulated (1 for the static fast path).
+  /// Number of states evolved: 1 for the static fast path; for a dynamic
+  /// circuit, the shot branches (<= shots: one state splits only where
+  /// shots drew different outcomes, plus any shot replayed alone because a
+  /// branch copy did not fit the memory budget); for a noisy one, the shots.
   std::size_t trajectories = 0;
   /// Whether the static fast path was taken.
   bool fast_path = false;

@@ -93,6 +93,11 @@ public:
   /// P(qubit = 1), via left/right environment contraction.
   [[nodiscard]] double probability_one(std::size_t qubit) const;
 
+  /// Project `qubit` onto `outcome` and rescale by 1/sqrt(prob), where
+  /// `prob` is that outcome's probability (from probability_one). Throws
+  /// SimulationError when `prob` vanishes.
+  void collapse(std::size_t qubit, int outcome, double prob);
+
   /// Projectively measure one qubit: collapses the chain and returns 0/1.
   int measure(std::size_t qubit, Rng& rng);
 
@@ -141,6 +146,9 @@ public:
   /// Bond dimension to the right of site i (chi between qubits i and i+1).
   [[nodiscard]] std::size_t bond_dim(std::size_t i) const;
 
+  /// Site-tensor footprint in bytes.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   /// Largest bond dimension currently in the chain.
   [[nodiscard]] std::size_t max_bond_dim() const noexcept;
 
@@ -178,9 +186,6 @@ private:
   [[nodiscard]] std::vector<cplx> left_environment(std::size_t q) const;
   /// Right environment of sites q..n-1.
   [[nodiscard]] std::vector<cplx> right_environment(std::size_t q) const;
-
-  /// Project qubit q onto `outcome` and rescale by 1/sqrt(prob).
-  void collapse(std::size_t qubit, int outcome, double prob);
 
   std::size_t num_qubits_ = 0;
   MpsOptions options_;

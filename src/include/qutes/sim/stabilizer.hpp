@@ -60,6 +60,16 @@ public:
   /// measurement of `q` has a predetermined outcome (no rank update).
   [[nodiscard]] bool is_deterministic(std::size_t q) const;
 
+  /// P(q = 1) without collapsing: 1/2 when the outcome is random, else the
+  /// determined outcome (0 or 1), read off row sums into the scratch row
+  /// (hence non-const).
+  [[nodiscard]] double probability_one(std::size_t q);
+
+  /// Collapse `q` onto `outcome`: the rank update when the outcome is
+  /// random, nothing when it is determined (callers pass the determined
+  /// outcome then). Consumes no randomness.
+  void collapse(std::size_t q, int outcome);
+
   /// Projectively measure qubit `q` in the Z basis. The deterministic branch
   /// reads the outcome off row sums into the scratch row without consuming
   /// randomness; the random branch draws one bit from `rng`, replaces the
@@ -123,6 +133,10 @@ private:
   }
 
   void check_qubit(std::size_t q, const char* what) const;
+
+  /// First stabilizer row whose generator anticommutes with Z_q, or 2n when
+  /// Z_q commutes with all of them (the outcome is determined).
+  [[nodiscard]] std::size_t anticommuting_stabilizer(std::size_t q) const;
 
   /// Row h *= row i with exact phase tracking (the Aaronson–Gottesman
   /// "rowsum"): XORs the Pauli bits and recomputes r_h from the i-exponent

@@ -34,6 +34,10 @@ public:
   /// representation that does not store 2^n amplitudes (the mps backend).
   static constexpr std::size_t kMaxQubits = 30;
 
+  /// Kernels go OpenMP-parallel from this many amplitudes; below it the
+  /// fork/join overhead exceeds the work and they stay serial.
+  static constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+
   /// Construct |0...0> on `num_qubits` qubits (1..kMaxQubits). Throws
   /// SimulationError naming the limit — and pointing at `--backend mps` —
   /// when the register is too wide or the allocation itself fails.
@@ -98,6 +102,11 @@ public:
 
   /// Full probability distribution over basis states (length dim()).
   [[nodiscard]] std::vector<double> probabilities() const;
+
+  /// Project `qubit` onto `outcome` and rescale by 1/sqrt(p), where `p` is
+  /// that outcome's probability (from probability_one). Throws
+  /// SimulationError when `p` vanishes.
+  void collapse(std::size_t qubit, int outcome, double p);
 
   /// Projectively measure one qubit: collapses the state and returns 0/1.
   int measure(std::size_t qubit, Rng& rng);

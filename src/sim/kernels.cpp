@@ -22,7 +22,7 @@ namespace qutes::sim::kernels {
 namespace {
 
 // Below this many loop iterations the OpenMP fork/join overhead exceeds the
-// work (mirrors kParallelThreshold in statevector.cpp).
+// work (mirrors StateVector::kParallelThreshold).
 constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
 
 // Pair-pairs per AVX2 chunk: 2^12 iterations x 2 pairs x 2 amplitudes x 16

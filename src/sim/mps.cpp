@@ -559,6 +559,7 @@ double Mps::probability_one(std::size_t qubit) const {
 }
 
 void Mps::collapse(std::size_t qubit, int outcome, double prob) {
+  check_qubit(qubit, "Mps::collapse");
   if (prob < kProbEpsilon) {
     throw SimulationError("measured an outcome with vanishing probability");
   }
@@ -776,6 +777,12 @@ std::vector<cplx> Mps::to_statevector() const {
 std::size_t Mps::bond_dim(std::size_t i) const {
   check_qubit(i, "Mps::bond_dim");
   return dr_[i];
+}
+
+std::size_t Mps::memory_bytes() const noexcept {
+  std::size_t entries = 0;
+  for (const auto& t : sites_) entries += t.size();
+  return entries * sizeof(cplx);
 }
 
 std::size_t Mps::max_bond_dim() const noexcept {

@@ -213,41 +213,20 @@ void Stabilizer::rowsum(std::size_t h, std::size_t i) {
 
 bool Stabilizer::is_deterministic(std::size_t q) const {
   check_qubit(q, "is_deterministic");
-  for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
-    if (x_bit(i, q)) return false;
-  }
-  return true;
+  return anticommuting_stabilizer(q) == 2 * num_qubits_;
 }
 
-int Stabilizer::measure(std::size_t q, Rng& rng) {
-  check_qubit(q, "measure");
-  ++measurements_;
-  // Random branch: some stabilizer generator anticommutes with Z_q.
-  std::size_t p = 2 * num_qubits_;
+std::size_t Stabilizer::anticommuting_stabilizer(std::size_t q) const {
   for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
-    if (x_bit(i, q)) {
-      p = i;
-      break;
-    }
+    if (x_bit(i, q)) return i;
   }
-  if (p < 2 * num_qubits_) {
-    ++random_outcomes_;
-    const int outcome = static_cast<int>(rng.below(2));
-    // Every other row that anticommutes with Z_q absorbs row p, restoring
-    // commutation; the old stabilizer becomes the destabilizer of the new
-    // Z_q-type generator (the rank update).
-    for (std::size_t i = 0; i < 2 * num_qubits_; ++i) {
-      if (i != p && x_bit(i, q)) rowsum(i, p);
-    }
-    std::copy_n(x_row(p), words_, x_row(p - num_qubits_));
-    std::copy_n(z_row(p), words_, z_row(p - num_qubits_));
-    r_[p - num_qubits_] = r_[p];
-    std::fill_n(x_row(p), words_, 0);
-    std::fill_n(z_row(p), words_, 0);
-    z_row(p)[q / 64] = std::uint64_t{1} << (q % 64);
-    r_[p] = static_cast<std::uint8_t>(outcome);
-    return outcome;
-  }
+  return 2 * num_qubits_;
+}
+
+double Stabilizer::probability_one(std::size_t q) {
+  check_qubit(q, "probability_one");
+  // Random branch: some stabilizer generator anticommutes with Z_q.
+  if (anticommuting_stabilizer(q) < 2 * num_qubits_) return 0.5;
   // Deterministic branch: Z_q is in the stabilizer group. Accumulate the
   // product of the stabilizer generators flagged by the destabilizers that
   // anticommute with Z_q into the scratch row; its phase is the outcome.
@@ -259,6 +238,36 @@ int Stabilizer::measure(std::size_t q, Rng& rng) {
     if (x_bit(i, q)) rowsum(scratch, i + num_qubits_);
   }
   return r_[scratch];
+}
+
+void Stabilizer::collapse(std::size_t q, int outcome) {
+  check_qubit(q, "collapse");
+  const std::size_t p = anticommuting_stabilizer(q);
+  if (p == 2 * num_qubits_) return;  // determined: nothing to update
+  // Every other row that anticommutes with Z_q absorbs row p, restoring
+  // commutation; the old stabilizer becomes the destabilizer of the new
+  // Z_q-type generator (the rank update).
+  for (std::size_t i = 0; i < 2 * num_qubits_; ++i) {
+    if (i != p && x_bit(i, q)) rowsum(i, p);
+  }
+  std::copy_n(x_row(p), words_, x_row(p - num_qubits_));
+  std::copy_n(z_row(p), words_, z_row(p - num_qubits_));
+  r_[p - num_qubits_] = r_[p];
+  std::fill_n(x_row(p), words_, 0);
+  std::fill_n(z_row(p), words_, 0);
+  z_row(p)[q / 64] = std::uint64_t{1} << (q % 64);
+  r_[p] = static_cast<std::uint8_t>(outcome);
+}
+
+int Stabilizer::measure(std::size_t q, Rng& rng) {
+  check_qubit(q, "measure");
+  ++measurements_;
+  const double p1 = probability_one(q);
+  if (p1 != 0.5) return static_cast<int>(p1);
+  ++random_outcomes_;
+  const int outcome = static_cast<int>(rng.below(2));
+  collapse(q, outcome);
+  return outcome;
 }
 
 void Stabilizer::reset_qubit(std::size_t q, Rng& rng) {

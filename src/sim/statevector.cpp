@@ -15,9 +15,6 @@ namespace qutes::sim {
 
 namespace {
 
-// Below this many amplitudes the OpenMP fork/join overhead exceeds the work.
-constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
-
 // Probabilities below this are treated as impossible outcomes when
 // collapsing; guards against dividing by ~0 norms from roundoff.
 constexpr double kProbEpsilon = 1e-15;
@@ -283,14 +280,28 @@ void StateVector::apply_global_phase(double lambda) {
 
 double StateVector::probability_one(std::size_t qubit) const {
   check_qubit(qubit, "probability_one");
-  const std::uint64_t n = dim();
+  // Sum fixed chunks of the |1> half (each serially, in index order), then
+  // add the chunk sums in chunk order: unlike an OpenMP reduction, the
+  // result's last bits do not depend on the thread count, so a measurement
+  // draws the same outcome wherever it runs.
+  const std::uint64_t half = dim() >> 1;
+  const std::uint64_t chunks = (half + kParallelThreshold - 1) / kParallelThreshold;
   const cplx* amps = amps_.data();
-  double p = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : p) if (n >= kParallelThreshold)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (test_bit(static_cast<std::uint64_t>(i), qubit)) p += std::norm(amps[i]);
+  const auto chunk_sum = [&](std::uint64_t c) {
+    const std::uint64_t end = std::min(half, (c + 1) * kParallelThreshold);
+    double p = 0.0;
+    for (std::uint64_t i = c * kParallelThreshold; i < end; ++i) {
+      p += std::norm(amps[set_bit(insert_zero_bit(i, qubit), qubit)]);
+    }
+    return p;
+  };
+  if (chunks == 1) return chunk_sum(0);
+  std::vector<double> sums(chunks);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
+    sums[static_cast<std::size_t>(c)] = chunk_sum(static_cast<std::uint64_t>(c));
   }
-  return p;
+  return std::accumulate(sums.begin(), sums.end(), 0.0);
 }
 
 std::vector<double> StateVector::probabilities() const {
@@ -308,7 +319,12 @@ std::vector<double> StateVector::probabilities() const {
 int StateVector::measure(std::size_t qubit, Rng& rng) {
   const double p1 = probability_one(qubit);
   const int outcome = rng.uniform() < p1 ? 1 : 0;
-  const double p = outcome ? p1 : 1.0 - p1;
+  collapse(qubit, outcome, outcome ? p1 : 1.0 - p1);
+  return outcome;
+}
+
+void StateVector::collapse(std::size_t qubit, int outcome, double p) {
+  check_qubit(qubit, "collapse");
   if (p < kProbEpsilon) {
     throw SimulationError("measured an outcome with vanishing probability");
   }
@@ -323,7 +339,6 @@ int StateVector::measure(std::size_t qubit, Rng& rng) {
       amps[i] = cplx{};
     }
   }
-  return outcome;
 }
 
 std::uint64_t StateVector::measure_all(Rng& rng) {

@@ -267,7 +267,10 @@ TEST(BackendSemantics, MpsDynamicCountsAreThreadInvariant) {
   const circ::ExecutionResult serial = circ::Executor(options).run(c);
   EXPECT_EQ(parallel.counts, serial.counts);
   EXPECT_FALSE(parallel.fast_path);
-  EXPECT_EQ(parallel.trajectories, 2048u);
+  // Shot branching: 2 outcomes of q0 x 2 of q2, then determined; counts
+  // pinned from simulating each shot on its own.
+  EXPECT_EQ(parallel.trajectories, 4u);
+  EXPECT_EQ(parallel.counts, (sim::Counts{{"000", 989}, {"011", 1059}}));
 }
 
 TEST(BackendSemantics, MpsReportsTruncationDiagnostics) {

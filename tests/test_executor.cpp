@@ -44,7 +44,12 @@ TEST(Executor, ConditionedCircuitUsesTrajectories) {
   c.measure(1, 1);
   const auto result = Executor(opts(500, 3)).run(c);
   EXPECT_FALSE(result.fast_path);
-  EXPECT_EQ(result.trajectories, 500u);
+  // Shot branching: the random measurement splits the shots into one branch
+  // per outcome; the conditioned measurement is then determined.
+  EXPECT_EQ(result.trajectories, 2u);
+  // Each shot still draws what it drew when simulated alone, so the counts
+  // equal the ones recorded from one trajectory per shot.
+  EXPECT_EQ(result.counts, (sim::Counts{{"00", 242}, {"11", 258}}));
   // Teleported correlation: clbits must be "00" or "11".
   for (const auto& [key, n] : result.counts) {
     EXPECT_TRUE(key == "00" || key == "11") << key << " x" << n;

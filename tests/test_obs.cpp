@@ -83,8 +83,8 @@ circ::QuantumCircuit ghz(std::size_t n) {
 }
 
 /// A circuit with a mid-circuit measurement feeding a condition: forces the
-/// executor off the static fast path and into per-shot trajectories (the
-/// OpenMP loop).
+/// executor off the static fast path and into the shot-branching driver
+/// (its OpenMP region, since the state is small).
 circ::QuantumCircuit dynamic_circuit() {
   circ::QuantumCircuit c(2, 2);
   c.h(0);
@@ -199,16 +199,18 @@ TEST_F(TraceTest, OmpShotLoopSpansAreWellFormedPerThread) {
   config.seed = 9;
   const auto result = circ::Executor(config).run(dynamic_circuit());
   EXPECT_FALSE(result.fast_path);
+  EXPECT_EQ(result.trajectories, 2u);  // one branch per outcome of q0
+  EXPECT_EQ(result.counts, (qutes::sim::Counts{{"00", 28}, {"11", 36}}));
 
   const auto events = obs::collect_trace();
   std::map<int, std::vector<obs::TraceEvent>> by_tid;
-  std::size_t shot_spans = 0;
+  std::size_t branch_spans = 0;
   for (const auto& e : events) {
     by_tid[e.tid].push_back(e);
-    shot_spans += e.name == "sv.shot";
+    branch_spans += e.name == "sv.branch";
   }
-  // One span per trajectory, spread over however many threads ran them.
-  EXPECT_EQ(shot_spans, 64u);
+  // One span per evolved branch, spread over however many threads ran them.
+  EXPECT_EQ(branch_spans, result.trajectories);
   for (auto& [tid, thread_events] : by_tid) {
     expect_well_nested(std::move(thread_events));
   }

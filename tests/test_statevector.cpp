@@ -2,8 +2,12 @@
 // correctness against hand-computed states, measurement statistics,
 // collapse, register growth, norms, and entanglement correlators.
 #include <gtest/gtest.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <cmath>
+#include <vector>
 
 #include "qutes/common/bitops.hpp"
 #include "qutes/common/error.hpp"
@@ -187,6 +191,45 @@ TEST(StateVector, ProbabilityOne) {
   sv.apply_1q(RY(2.0 * std::asin(std::sqrt(0.3))), 0);  // P(1) = 0.3
   EXPECT_NEAR(sv.probability_one(0), 0.3, 1e-12);
   EXPECT_NEAR(sv.probability_one(1), 0.0, 1e-12);
+}
+
+TEST(StateVector, ProbabilityOneIsThreadCountInvariant) {
+  // 2^16 amplitudes: above the parallel threshold, so the sum is split
+  // across threads. A measurement outside a parallel shot loop (one shot,
+  // or the root of a shot branch) draws against this value, so its bits
+  // must not depend on the thread count.
+  constexpr std::size_t n = 16;
+  StateVector sv(n);
+  for (std::size_t q = 0; q < n; ++q) {
+    sv.apply_1q(RY(0.3 + 0.17 * static_cast<double>(q)), q);
+    sv.apply_1q(RZ(0.9 - 0.05 * static_cast<double>(q)), q);
+  }
+  for (std::size_t q = 0; q + 1 < n; ++q) sv.apply_controlled_1q(X(), q, q + 1);
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  std::vector<std::vector<double>> p1;
+  for (const int threads : {1, 2, 4}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    auto& row = p1.emplace_back();
+    for (std::size_t q = 0; q < n; ++q) row.push_back(sv.probability_one(q));
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  EXPECT_EQ(p1[0], p1[1]);  // exact: bit-identical, not merely close
+  EXPECT_EQ(p1[0], p1[2]);
+  for (std::size_t q = 0; q < n; ++q) {
+    double expected = 0.0;
+    for (std::uint64_t i = 0; i < sv.dim(); ++i) {
+      if (test_bit(i, q)) expected += std::norm(sv.amplitudes()[i]);
+    }
+    EXPECT_NEAR(p1[0][q], expected, 1e-12);
+  }
 }
 
 TEST(StateVector, MeasureCollapsesAndNormalizes) {

@@ -65,13 +65,16 @@ void usage(std::ostream& out) {
       << "  --dump-passes      print the per-pass instrumentation table (name,\n"
       << "                     wall ms, depth/gates/2q before -> after); implies\n"
       << "                     --pipeline O1 unless one is given.\n"
-      << "  --backend NAME     simulation backend for sim / --replay: statevector\n"
-      << "                     (default), density, mps, stabilizer (Clifford-only\n"
-      << "                     tableau; thousands of qubits), or auto (stabilizer\n"
-      << "                     when the circuit is all-Clifford, else statevector)\n"
-      << "                     (default, ~30 qubits), density (exact noise, ~13),\n"
-      << "                     or mps (tensor network; scales with entanglement,\n"
-      << "                     pair with --pipeline hardware for best layout).\n"
+      << "  --backend NAME     simulation backend for sim / --replay:\n"
+      << "                       statevector  dense, exact; ~30 qubits (default)\n"
+      << "                       density      exact noise channels; ~13 qubits\n"
+      << "                       mps          tensor network; scales with\n"
+      << "                                    entanglement, pair with --pipeline\n"
+      << "                                    hardware for best layout\n"
+      << "                       stabilizer   Clifford-only tableau; thousands\n"
+      << "                                    of qubits\n"
+      << "                       auto         stabilizer when the circuit is\n"
+      << "                                    all-Clifford, else statevector\n"
       << "  --max-bond-dim N   mps bond-dimension cap (default 64); larger is more\n"
       << "                     accurate on highly entangled states, smaller is faster.\n"
       << "  --trace FILE       record spans across the whole stack and write a\n"
