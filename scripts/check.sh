@@ -119,6 +119,21 @@ for backend in statevector mps; do
 done
 echo "check.sh: shot-branching smoke passed (grover replay <= 64 states)."
 
+# MPS layout smoke: database.qut's replay circuit is full of distant gates.
+# The lazy qubit-to-site layout moves a site next to its partner and leaves
+# it there, so its 64-shot mps run makes 1,192 adjacent site swaps (restore
+# before sampling included); a layout that swaps back after each distant
+# gate makes ~27,000. The count depends on the circuit alone, never on
+# timing.
+SWAPS=$("$BUILD_DIR"/tools/qutes run examples/programs/database.qut \
+  --replay 64 --backend mps --metrics 2>&1 >/dev/null \
+  | awk '$2 == "mps.site_swaps" { print $3 }')
+if [[ -z "$SWAPS" || "$SWAPS" -gt 2400 ]]; then
+  echo "check.sh: database --replay 64 on mps made ${SWAPS:-no} site swaps (ceiling 2400)" >&2
+  exit 1
+fi
+echo "check.sh: MPS layout smoke passed (database replay ${SWAPS} <= 2400 site swaps)."
+
 # qutesd daemon smoke: boot the daemon on a private socket, issue a
 # cold/warm request pair through the CLI client (the warm one must report a
 # cache hit), then SIGTERM and require a graceful exit that unlinks the

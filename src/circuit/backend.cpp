@@ -540,8 +540,8 @@ private:
 /// Tensor-network simulation. Gates wider than two qubits are lowered to
 /// {u, cx} first; fusion is capped at contiguous 2q blocks by the capability
 /// query. Static circuits evolve one MPS and draw shots from a shared
-/// Sampler; dynamic circuits run one MPS trajectory per shot. Both shot
-/// loops use Rng(seed, shot) streams, so counts are thread-count-invariant.
+/// Sampler; dynamic circuits go through the shot-branching driver. Both
+/// use Rng(seed, shot) streams, so counts are thread-count-invariant.
 class MpsBackend final : public Backend {
 public:
   std::string name() const override { return "mps"; }
@@ -562,6 +562,8 @@ public:
         obs::metrics().counter(obs::names::kMpsGatesApplied);
     static obs::Counter& truncations_metric =
         obs::metrics().counter(obs::names::kMpsSvdTruncations);
+    static obs::Counter& swaps_metric =
+        obs::metrics().counter(obs::names::kMpsSiteSwaps);
     static obs::Gauge& bond_gauge =
         obs::metrics().gauge(obs::names::kMpsMaxBondDim);
     static obs::Gauge& trunc_gauge =
@@ -620,14 +622,17 @@ public:
         }
         gates_metric.add(applied);
       }
+
+      obs::Span sample_span("mps.sample");
+      // Restores the canonical layout first; its swaps are splits like any
+      // other, so the diagnostics are read after it.
+      const sim::Mps::Sampler sampler = mps.make_sampler();
       result.truncation_error = mps.truncation_error();
       result.max_bond_dim_reached = mps.max_bond_dim_reached();
       truncations_metric.add(mps.svd_truncations());
+      swaps_metric.add(mps.site_swaps());
       bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
       trunc_gauge.set_max(result.truncation_error);
-
-      obs::Span sample_span("mps.sample");
-      const sim::Mps::Sampler sampler = mps.make_sampler();
       std::atomic<bool> failed{false};
       std::exception_ptr error;
 #pragma omp parallel if (config.backend.parallel_shots && shots > 1)
@@ -665,6 +670,7 @@ public:
     const Branching adapter{circ.num_qubits(), mps_options};
     gates_metric.add(ShotBrancher(adapter, circ, plan, config).run(result).gates);
     truncations_metric.add(adapter.truncations);
+    swaps_metric.add(adapter.swaps);
     result.truncation_error = adapter.truncation_error;
     result.max_bond_dim_reached = adapter.max_bond;
     bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
@@ -683,21 +689,26 @@ private:
     std::size_t num_qubits;
     sim::MpsOptions options;
     mutable std::atomic<std::size_t> truncations{0};
+    mutable std::atomic<std::size_t> swaps{0};
     mutable std::mutex mutex;  // guards the two maxima below
     mutable double truncation_error = 0.0;
     mutable std::size_t max_bond = 0;
 
     State fresh() const { return State(num_qubits, options); }
-    // A fork copies its parent's SVD count, so count per applied gate.
+    // A fork copies its parent's SVD and swap counts, so count per applied
+    // gate.
+    template <typename Apply>
+    void counted(State& mps, Apply&& apply_op) const {
+      const std::size_t truncated = mps.svd_truncations(), swapped = mps.site_swaps();
+      apply_op();
+      if (mps.svd_truncations() != truncated) truncations += mps.svd_truncations() - truncated;
+      if (mps.site_swaps() != swapped) swaps += mps.site_swaps() - swapped;
+    }
     void apply(State& mps, const FusedOp& op) const {
-      const std::size_t before = mps.svd_truncations();
-      mps.apply_kq(op.matrix, op.qubits);
-      if (mps.svd_truncations() != before) truncations += mps.svd_truncations() - before;
+      counted(mps, [&] { mps.apply_kq(op.matrix, op.qubits); });
     }
     void apply(State& mps, const Instruction& in) const {
-      const std::size_t before = mps.svd_truncations();
-      apply_gate_mps(mps, in);
-      if (mps.svd_truncations() != before) truncations += mps.svd_truncations() - before;
+      counted(mps, [&] { apply_gate_mps(mps, in); });
     }
     double probability_one(State& mps, std::size_t q) const { return mps.probability_one(q); }
     int draw(double p1, Rng& rng) const { return rng.uniform() < p1 ? 1 : 0; }

@@ -261,6 +261,7 @@ inline constexpr const char* kDensityPeakBytes = "density.peak_bytes";  // gauge
 // mps backend
 inline constexpr const char* kMpsGatesApplied = "mps.gates_applied";    // counter
 inline constexpr const char* kMpsSvdTruncations = "mps.svd_truncations";// counter (lossy SVD splits)
+inline constexpr const char* kMpsSiteSwaps = "mps.site_swaps";          // counter (adjacent site swaps)
 inline constexpr const char* kMpsMaxBondDim = "mps.max_bond_dim";       // gauge (high-water)
 inline constexpr const char* kMpsTruncationError = "mps.truncation_error"; // gauge (high-water)
 // stabilizer backend

@@ -19,14 +19,21 @@
 //    below `truncation_threshold` (relative) are discarded and the bond is
 //    capped at `max_bond_dim`; the discarded weight accumulates in
 //    truncation_error() so callers can see how lossy a run was;
-//  * distant 2q gates ride internal nearest-neighbor SWAP chains;
+//  * qubits live on sites through a lazy layout (site_of / qubit_at, the
+//    identity at construction). A distant 2q gate moves one operand's site
+//    next to its partner by adjacent swaps — each one split — and leaves it
+//    there; a SWAP gate only relabels two qubits. Single-qubit work, dense
+//    queries and measurement look the qubit's current site up;
 //  * sampling walks the chain qubit-by-qubit, conditioning a left
 //    environment on the bits drawn so far against precomputed right
 //    environments (Sampler) — O(n chi^3) per shot, no 2^n object anywhere.
+//    make_sampler() first restores the canonical layout (site i = qubit i)
+//    by adjacent swaps, at most the layout's inversion count, so shots draw
+//    qubit 0, 1, ... in order.
 //
 // Contraction kernels are OpenMP-parallel over bond indices above a size
-// threshold. Qubit ordering is little-endian (site i = qubit i), matching
-// StateVector.
+// threshold. Basis indices are little-endian (bit i = qubit i), matching
+// StateVector, whatever the layout.
 #pragma once
 
 #include <cstddef>
@@ -70,7 +77,8 @@ public:
 
   /// Apply a general two-qubit unitary; `q0` indexes the low bit of the 4x4
   /// basis, `q1` the high bit (same convention as StateVector::apply_2q).
-  /// Non-neighboring pairs are routed through an internal SWAP chain.
+  /// If their sites are not neighbors, the higher site moves down next to
+  /// the lower one and stays there.
   void apply_2q(const Matrix4& u, std::size_t q0, std::size_t q1);
 
   /// Apply `u` to `target` controlled on `control` being |1>.
@@ -82,7 +90,7 @@ public:
   /// see BackendCapabilities::max_fused_qubits).
   void apply_kq(const MatrixN& u, std::span<const std::size_t> targets);
 
-  /// SWAP two qubits (adjacent pairs are one split; distant pairs chain).
+  /// SWAP two qubits: exchanges their sites in the layout, no tensor work.
   void apply_swap(std::size_t a, std::size_t b);
 
   /// Multiply the entire state by e^{i lambda}.
@@ -112,14 +120,17 @@ public:
     /// right[i] is the chi_i x chi_i environment of sites i..n-1.
     std::vector<std::vector<cplx>> right;
   };
-  [[nodiscard]] Sampler make_sampler() const;
+  /// Restores the canonical layout (site i = qubit i), then builds the
+  /// environments. Valid until the next gate.
+  [[nodiscard]] Sampler make_sampler();
 
   /// Sample one basis state (little-endian bit i = qubit i) without
-  /// collapsing, by the conditional qubit-by-qubit walk.
+  /// collapsing, by the conditional qubit-by-qubit walk. Throws
+  /// SimulationError if the layout moved since make_sampler().
   [[nodiscard]] std::uint64_t sample(const Sampler& sampler, Rng& rng) const;
 
   /// Convenience: build a one-shot sampler and draw.
-  [[nodiscard]] std::uint64_t sample(Rng& rng) const;
+  [[nodiscard]] std::uint64_t sample(Rng& rng);
 
   // ---- queries -------------------------------------------------------------
 
@@ -143,8 +154,12 @@ public:
 
   // ---- diagnostics ---------------------------------------------------------
 
-  /// Bond dimension to the right of site i (chi between qubits i and i+1).
+  /// Bond dimension to the right of site i (chi between sites i and i+1;
+  /// which qubits sit there depends on the layout, see site_of).
   [[nodiscard]] std::size_t bond_dim(std::size_t i) const;
+
+  /// The site currently holding `qubit` (== qubit in the canonical layout).
+  [[nodiscard]] std::size_t site_of(std::size_t qubit) const;
 
   /// Site-tensor footprint in bytes.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
@@ -167,6 +182,10 @@ public:
     return svd_truncations_;
   }
 
+  /// Number of adjacent site swaps so far (gate routing and layout restores;
+  /// each is one SVD split). Feeds the mps.site_swaps metric.
+  [[nodiscard]] std::size_t site_swaps() const noexcept { return site_swaps_; }
+
 private:
   // Site tensor i has dims (dl_[i], 2, dr_[i]), flattened row-major as
   // t[(l * 2 + p) * dr + r]; dr_[i] == dl_[i+1], dl_[0] == dr_[n-1] == 1.
@@ -179,8 +198,13 @@ private:
   /// `low_site_is_q0 ? site i : site i+1`, split back with truncated SVD.
   void apply_2q_adjacent(const Matrix4& u, std::size_t i, bool low_site_is_q0);
 
-  /// SWAP the physical indices of adjacent sites (i, i+1).
+  /// SWAP the physical indices of adjacent sites (i, i+1) and their qubits'
+  /// places in the layout.
   void swap_adjacent(std::size_t i);
+
+  /// Move every qubit back to its own site (site i = qubit i) by adjacent
+  /// swaps — exactly the layout's inversion count of them.
+  void restore_layout();
 
   /// Left environment of sites 0..q-1 (chi x chi, identity-like for q=0).
   [[nodiscard]] std::vector<cplx> left_environment(std::size_t q) const;
@@ -191,9 +215,12 @@ private:
   MpsOptions options_;
   std::vector<std::vector<cplx>> sites_;
   std::vector<std::size_t> dl_, dr_;
+  // The layout: site_of_[q] is qubit q's site, qubit_at_[i] site i's qubit.
+  std::vector<std::size_t> site_of_, qubit_at_;
   std::size_t max_bond_reached_ = 1;
   double truncation_error_ = 0.0;
   std::size_t svd_truncations_ = 0;
+  std::size_t site_swaps_ = 0;
 };
 
 }  // namespace qutes::sim

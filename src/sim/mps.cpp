@@ -177,6 +177,9 @@ Mps::Mps(std::size_t num_qubits, MpsOptions options)
   sites_.resize(num_qubits);
   dl_.assign(num_qubits, 1);
   dr_.assign(num_qubits, 1);
+  site_of_.resize(num_qubits);
+  std::iota(site_of_.begin(), site_of_.end(), std::size_t{0});
+  qubit_at_ = site_of_;
   for (auto& t : sites_) {
     t.assign(2, cplx{});
     t[0] = cplx{1.0};  // physical index 0 -> |0>
@@ -265,8 +268,9 @@ void Mps::check_qubit(std::size_t q, const char* what) const {
 
 void Mps::apply_1q(const Matrix2& u, std::size_t target) {
   check_qubit(target, "Mps::apply_1q");
-  auto& t = sites_[target];
-  const std::size_t dl = dl_[target], dr = dr_[target];
+  const std::size_t site = site_of_[target];
+  auto& t = sites_[site];
+  const std::size_t dl = dl_[site], dr = dr_[site];
   const bool parallel = dl * dr * 4 >= kParallelWork;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::int64_t l = 0; l < static_cast<std::int64_t>(dl); ++l) {
@@ -303,26 +307,23 @@ void Mps::apply_swap(std::size_t a, std::size_t b) {
   check_qubit(a, "Mps::apply_swap");
   check_qubit(b, "Mps::apply_swap");
   if (a == b) throw InvalidArgument("Mps::apply_swap: identical qubits");
-  const std::size_t lo = std::min(a, b), hi = std::max(a, b);
-  for (std::size_t i = lo; i < hi; ++i) swap_adjacent(i);
-  for (std::size_t i = hi - 1; i-- > lo;) swap_adjacent(i);
+  std::swap(site_of_[a], site_of_[b]);
+  qubit_at_[site_of_[a]] = a;
+  qubit_at_[site_of_[b]] = b;
 }
 
 void Mps::apply_2q(const Matrix4& u, std::size_t q0, std::size_t q1) {
   check_qubit(q0, "Mps::apply_2q");
   check_qubit(q1, "Mps::apply_2q");
   if (q0 == q1) throw InvalidArgument("Mps::apply_2q: identical qubits");
-  const std::size_t lo = std::min(q0, q1), hi = std::max(q0, q1);
-  if (hi - lo == 1) {
-    apply_2q_adjacent(u, lo, /*low_site_is_q0=*/lo == q0);
-    return;
-  }
-  // Swap-chain: walk the high qubit's site down to lo+1, apply, walk back.
+  const std::size_t lo = std::min(site_of_[q0], site_of_[q1]);
+  // Walk the higher site down next to the lower one and leave it there.
   // Each hop is itself a nearest-neighbor split, so truncation policy and
   // error accounting apply uniformly.
-  for (std::size_t i = hi - 1; i > lo; --i) swap_adjacent(i);
-  apply_2q_adjacent(u, lo, /*low_site_is_q0=*/lo == q0);
-  for (std::size_t i = lo + 1; i < hi; ++i) swap_adjacent(i);
+  for (std::size_t i = std::max(site_of_[q0], site_of_[q1]); i > lo + 1; --i) {
+    swap_adjacent(i - 1);
+  }
+  apply_2q_adjacent(u, lo, /*low_site_is_q0=*/lo == site_of_[q0]);
 }
 
 void Mps::apply_kq(const MatrixN& u, std::span<const std::size_t> targets) {
@@ -357,6 +358,18 @@ void Mps::swap_adjacent(std::size_t i) {
   swap.m[2 * 4 + 1] = cplx{1.0};
   swap.m[3 * 4 + 3] = cplx{1.0};
   apply_2q_adjacent(swap, i, true);
+  std::swap(qubit_at_[i], qubit_at_[i + 1]);
+  site_of_[qubit_at_[i]] = i;
+  site_of_[qubit_at_[i + 1]] = i + 1;
+  ++site_swaps_;
+}
+
+void Mps::restore_layout() {
+  // Bring qubit q down to site q; sites below q already hold 0..q-1, so each
+  // hop removes exactly one inversion.
+  for (std::size_t q = 0; q < num_qubits_; ++q) {
+    for (std::size_t i = site_of_[q]; i > q; --i) swap_adjacent(i - 1);
+  }
 }
 
 void Mps::apply_2q_adjacent(const Matrix4& u, std::size_t i, bool low_site_is_q0) {
@@ -527,10 +540,11 @@ std::vector<cplx> Mps::right_environment(std::size_t q) const {
 
 double Mps::probability_one(std::size_t qubit) const {
   check_qubit(qubit, "Mps::probability_one");
-  const std::vector<cplx> left = left_environment(qubit);
-  const std::vector<cplx> right = right_environment(qubit + 1);
-  const std::size_t dl = dl_[qubit], dr = dr_[qubit];
-  const auto& t = sites_[qubit];
+  const std::size_t site = site_of_[qubit];
+  const std::vector<cplx> left = left_environment(site);
+  const std::vector<cplx> right = right_environment(site + 1);
+  const std::size_t dl = dl_[site], dr = dr_[site];
+  const auto& t = sites_[site];
 
   double weight[2] = {0.0, 0.0};
   for (std::size_t p = 0; p < 2; ++p) {
@@ -564,8 +578,9 @@ void Mps::collapse(std::size_t qubit, int outcome, double prob) {
     throw SimulationError("measured an outcome with vanishing probability");
   }
   const double scale = 1.0 / std::sqrt(prob);
-  auto& t = sites_[qubit];
-  const std::size_t dl = dl_[qubit], dr = dr_[qubit];
+  const std::size_t site = site_of_[qubit];
+  auto& t = sites_[site];
+  const std::size_t dl = dl_[site], dr = dr_[site];
   for (std::size_t l = 0; l < dl; ++l) {
     for (std::size_t p = 0; p < 2; ++p) {
       cplx* row = t.data() + (l * 2 + p) * dr;
@@ -589,7 +604,8 @@ void Mps::reset_qubit(std::size_t qubit, Rng& rng) {
   if (measure(qubit, rng) == 1) apply_1q(gates::X(), qubit);
 }
 
-Mps::Sampler Mps::make_sampler() const {
+Mps::Sampler Mps::make_sampler() {
+  restore_layout();
   Sampler sampler;
   sampler.right.resize(num_qubits_ + 1);
   sampler.right[num_qubits_] = {cplx{1.0}};
@@ -630,6 +646,9 @@ std::uint64_t Mps::sample(const Sampler& sampler, Rng& rng) const {
   if (num_qubits_ > 64) {
     throw SimulationError("Mps::sample: more than 64 qubits cannot pack into one "
                           "basis index");
+  }
+  if (!std::is_sorted(qubit_at_.begin(), qubit_at_.end())) {
+    throw SimulationError("Mps::sample: the layout moved since make_sampler()");
   }
   // v is the left-boundary row vector conditioned on the bits drawn so far,
   // kept normalized so that <v| R |v> == 1 at every step; then the
@@ -690,7 +709,7 @@ std::uint64_t Mps::sample(const Sampler& sampler, Rng& rng) const {
   return basis;
 }
 
-std::uint64_t Mps::sample(Rng& rng) const {
+std::uint64_t Mps::sample(Rng& rng) {
   const Sampler sampler = make_sampler();
   return sample(sampler, rng);
 }
@@ -704,7 +723,7 @@ cplx Mps::amplitude(std::uint64_t basis) const {
   std::vector<cplx> v{cplx{1.0}};
   for (std::size_t i = 0; i < num_qubits_; ++i) {
     const std::size_t dl = dl_[i], dr = dr_[i];
-    const std::size_t p = test_bit(basis, i) ? 1 : 0;
+    const std::size_t p = test_bit(basis, qubit_at_[i]) ? 1 : 0;
     const auto& t = sites_[i];
     std::vector<cplx> next(dr, cplx{});
     for (std::size_t l = 0; l < dl; ++l) {
@@ -742,7 +761,8 @@ std::vector<cplx> Mps::to_statevector() const {
                           " amplitudes (limit " + std::to_string(kMaxDenseQubits) +
                           "); the MPS exists precisely to avoid this object");
   }
-  // Grow left to right: T_k[b, r] over b in [0, 2^k), bond r.
+  // Grow left to right: T_k[b, r] over b in [0, 2^k), bond r, where bit i
+  // of b is site i's physical index.
   std::vector<cplx> t{cplx{1.0}};
   std::size_t states = 1, chi = 1;
   for (std::size_t i = 0; i < num_qubits_; ++i) {
@@ -768,15 +788,28 @@ std::vector<cplx> Mps::to_statevector() const {
     states <<= 1;
     chi = dr;
   }
-  // chi == 1 at the end; t is exactly the amplitude vector.
+  // chi == 1 at the end; t is the amplitude vector in site order. Scatter
+  // each site bit to its qubit's bit unless the layout is canonical.
+  if (std::is_sorted(qubit_at_.begin(), qubit_at_.end())) return t;
   std::vector<cplx> amps(states);
-  for (std::size_t b = 0; b < states; ++b) amps[b] = t[b];
+  for (std::size_t b = 0; b < states; ++b) {
+    std::uint64_t basis = 0;
+    for (std::size_t i = 0; i < num_qubits_; ++i) {
+      if (test_bit(b, i)) basis = set_bit(basis, qubit_at_[i]);
+    }
+    amps[basis] = t[b];
+  }
   return amps;
 }
 
 std::size_t Mps::bond_dim(std::size_t i) const {
   check_qubit(i, "Mps::bond_dim");
   return dr_[i];
+}
+
+std::size_t Mps::site_of(std::size_t qubit) const {
+  check_qubit(qubit, "Mps::site_of");
+  return site_of_[qubit];
 }
 
 std::size_t Mps::memory_bytes() const noexcept {

@@ -106,10 +106,31 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return prev[b.size()];
 }
 
-/// Report an unknown flag with the nearest known spelling (LangError-style
-/// diagnostic instead of the old bare "unknown flag" line). Returns the exit
-/// status for main.
+/// What each value-taking flag expects after it, as usage() spells it.
+const char* flag_value_name(const std::string& flag) {
+  static const std::vector<std::pair<std::string, const char*>> kValues = {
+      {"--shots", "N"},          {"--seed", "N"},          {"--replay", "N"},
+      {"--max-bond-dim", "N"},   {"--workers", "N"},       {"--cache-mb", "N"},
+      {"--max-batch", "N"},      {"--pipeline", "PRESET"}, {"--backend", "NAME"},
+      {"--exec-mode", "MODE"},   {"--qasm", "FILE"},       {"--qiskit", "FILE"},
+      {"--trace", "FILE"},       {"--metrics-json", "FILE"},
+      {"--connect", "SOCKET"},   {"--bind", "v1,v2,..."}};
+  for (const auto& [name, value] : kValues) {
+    if (name == flag) return value;
+  }
+  return nullptr;
+}
+
+/// Report a flag the parser did not consume: a known value-taking flag that
+/// ended the command line lacks its value; anything else is unknown and gets
+/// the nearest known spelling. Returns the exit status for main.
 int unknown_flag(const std::string& arg, const std::vector<std::string>& known) {
+  const char* value = flag_value_name(arg);
+  if (value && std::find(known.begin(), known.end(), arg) != known.end()) {
+    std::cerr << "error: flag '" << arg << "' needs a value (" << value << ")\n";
+    usage(std::cerr);
+    return 2;
+  }
   // Compare on the flag name only ("--backend=x" suggests "--backend").
   const std::string name = arg.substr(0, arg.find('='));
   std::string best;
