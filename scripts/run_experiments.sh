@@ -9,21 +9,18 @@
 # land in sanitizer_output.txt and are echoed in the final report.
 #
 # Pass --stabilizer to regenerate only the E15 stabilizer-backend tables
-# (bench_stabilizer -> BENCH_stab.json) without rerunning the full suite, or
-# --mps to regenerate only the E12 MPS tables (bench_mps -> BENCH_mps.json).
+# (bench_stabilizer -> BENCH_stab.json) without rerunning the full suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 RUN_SANITIZERS=0
 STABILIZER_ONLY=0
-MPS_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --sanitizers) RUN_SANITIZERS=1 ;;
     --stabilizer) STABILIZER_ONLY=1 ;;
-    --mps) MPS_ONLY=1 ;;
-    *) echo "usage: $0 [--sanitizers] [--stabilizer] [--mps]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--sanitizers] [--stabilizer]" >&2; exit 2 ;;
   esac
 done
 
@@ -42,26 +39,6 @@ collect_stab_json() {
   echo "Stabilizer backend results recorded in BENCH_stab.json:"
   grep -o '"workload":"[a-z_]*","qubits":[0-9]*' BENCH_stab.json | sort -u | paste - - - - || true
 }
-
-collect_mps_json() {
-  # Collect the BENCH_JSON_MPS lines (one object per workload x width x bond
-  # cap, plus the dense-vs-MPS crossover rows, emitted by bench_mps) into a
-  # single JSON array.
-  {
-    echo '['
-    { grep -h '^BENCH_JSON_MPS ' "$1" || true; } | sed 's/^BENCH_JSON_MPS //' | paste -sd, -
-    echo ']'
-  } > BENCH_mps.json
-  echo "MPS backend results recorded in BENCH_mps.json:"
-  grep -o '"workload":"[a-z]*","qubits":[0-9]*' BENCH_mps.json | sort -u | paste - - - - || true
-}
-
-if [[ "$MPS_ONLY" == 1 ]]; then
-  build/bench/bench_mps --benchmark_filter='^$' 2>&1 | tee bench_mps_output.txt
-  collect_mps_json bench_mps_output.txt
-  echo "Done. See bench_mps_output.txt and BENCH_mps.json."
-  exit 0
-fi
 
 if [[ "$STABILIZER_ONLY" == 1 ]]; then
   build/bench/bench_stabilizer 2>&1 | tee bench_stab_output.txt
@@ -99,7 +76,17 @@ grep -o '"qubits":[0-9]*\|"speedup":[0-9.]*' BENCH_fusion.json | paste - - || tr
 echo "Pipeline preset results recorded in BENCH_transpile.json:"
 grep -o '"workload":"[a-z0-9]*","qubits":[0-9]*,"preset":"[a-z01A-Z]*"' BENCH_transpile.json || true
 
-collect_mps_json bench_output.txt
+# Collect the BENCH_JSON_MPS lines (one object per workload x width x bond
+# cap, plus the dense-vs-MPS crossover rows, emitted by bench_mps) into a
+# single JSON array.
+{
+  echo '['
+  { grep -h '^BENCH_JSON_MPS ' bench_output.txt || true; } | sed 's/^BENCH_JSON_MPS //' | paste -sd, -
+  echo ']'
+} > BENCH_mps.json
+echo "MPS backend results recorded in BENCH_mps.json:"
+grep -o '"workload":"[a-z]*","qubits":[0-9]*' BENCH_mps.json | sort -u | paste - - - - || true
+
 collect_stab_json bench_output.txt
 
 # Collect the BENCH_JSON_OBS lines (one metric-registry snapshot per

@@ -552,7 +552,6 @@ public:
     caps.fused_adjacent_only = true;
     caps.supports_noise = false;  // no trajectory channels on an MPS (yet)
     caps.max_qubits = 64;         // sampling packs outcomes into a uint64
-    caps.prefers_linear_layout = true;
     return caps;
   }
 

@@ -28,8 +28,10 @@
 //    environment on the bits drawn so far against precomputed right
 //    environments (Sampler) — O(n chi^3) per shot, no 2^n object anywhere.
 //    make_sampler() first restores the canonical layout (site i = qubit i)
-//    by adjacent swaps, at most the layout's inversion count, so shots draw
-//    qubit 0, 1, ... in order.
+//    by adjacent swaps, so shots draw qubit 0, 1, ... in order. The restore
+//    costs the layout's inversion count: at most the hops made so far plus
+//    2d-1 per relabelled SWAP of qubits d sites apart (what applying that
+//    SWAP in place would have cost).
 //
 // Contraction kernels are OpenMP-parallel over bond indices above a size
 // threshold. Basis indices are little-endian (bit i = qubit i), matching

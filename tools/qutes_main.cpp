@@ -69,8 +69,7 @@ void usage(std::ostream& out) {
       << "                       statevector  dense, exact; ~30 qubits (default)\n"
       << "                       density      exact noise channels; ~13 qubits\n"
       << "                       mps          tensor network; scales with\n"
-      << "                                    entanglement, pair with --pipeline\n"
-      << "                                    hardware for best layout\n"
+      << "                                    entanglement\n"
       << "                       stabilizer   Clifford-only tableau; thousands\n"
       << "                                    of qubits\n"
       << "                       auto         stabilizer when the circuit is\n"
@@ -106,28 +105,13 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return prev[b.size()];
 }
 
-/// What each value-taking flag expects after it, as usage() spells it.
-const char* flag_value_name(const std::string& flag) {
-  static const std::vector<std::pair<std::string, const char*>> kValues = {
-      {"--shots", "N"},          {"--seed", "N"},          {"--replay", "N"},
-      {"--max-bond-dim", "N"},   {"--workers", "N"},       {"--cache-mb", "N"},
-      {"--max-batch", "N"},      {"--pipeline", "PRESET"}, {"--backend", "NAME"},
-      {"--exec-mode", "MODE"},   {"--qasm", "FILE"},       {"--qiskit", "FILE"},
-      {"--trace", "FILE"},       {"--metrics-json", "FILE"},
-      {"--connect", "SOCKET"},   {"--bind", "v1,v2,..."}};
-  for (const auto& [name, value] : kValues) {
-    if (name == flag) return value;
-  }
-  return nullptr;
-}
-
-/// Report a flag the parser did not consume: a known value-taking flag that
-/// ended the command line lacks its value; anything else is unknown and gets
-/// the nearest known spelling. Returns the exit status for main.
+/// Report a flag the parser did not consume: the parsers consume every known
+/// boolean flag, so a known flag that reaches here ended the command line
+/// without its value; anything else is unknown and gets the nearest known
+/// spelling. Returns the exit status for main.
 int unknown_flag(const std::string& arg, const std::vector<std::string>& known) {
-  const char* value = flag_value_name(arg);
-  if (value && std::find(known.begin(), known.end(), arg) != known.end()) {
-    std::cerr << "error: flag '" << arg << "' needs a value (" << value << ")\n";
+  if (std::find(known.begin(), known.end(), arg) != known.end()) {
+    std::cerr << "error: flag '" << arg << "' needs a value\n";
     usage(std::cerr);
     return 2;
   }
